@@ -190,9 +190,15 @@ class Design:
         return self.total_demand(resource) / cap
 
     def set_placement(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Install a placement (copies, with bounds clipping)."""
+        """Install a placement (copies, with bounds clipping).
+
+        Non-finite coordinates are rejected: ``np.clip`` would pass NaN
+        through, and routing would then score a placement with a NaN HPWL.
+        """
         if x.shape != self.x.shape or y.shape != self.y.shape:
             raise ValueError("placement arrays have wrong shape")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("placement coordinates must be finite")
         self.x = np.clip(np.asarray(x, dtype=np.float64), 0, self.device.width - 1e-6)
         self.y = np.clip(np.asarray(y, dtype=np.float64), 0, self.device.height - 1e-6)
 

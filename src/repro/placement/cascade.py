@@ -62,9 +62,15 @@ class GroupMap:
         self._fixed = np.flatnonzero(group_of < 0)
         self.fixed_x = design.x[self._fixed].copy()
         self.fixed_y = design.y[self._fixed].copy()
+        # Constant per-step gathers, hoisted out of the GP loop.
+        self._movable_gids = group_of[self._movable]
+        self._movable_offset_y = offset_y[self._movable]
+        max_off = np.zeros(num_groups)
+        np.maximum.at(max_off, self._movable_gids, self._movable_offset_y)
+        self._max_gy = design.device.height - 1.0 - max_off
         # Total site-unit mass per group, used for gradient preconditioning.
         self.group_sizes = np.bincount(
-            group_of[self._movable], minlength=num_groups
+            self._movable_gids, minlength=num_groups
         ).astype(np.float64)
 
     # -- variable <-> instance maps ------------------------------------------------
@@ -74,11 +80,9 @@ class GroupMap:
         gx = np.zeros(self.num_groups)
         gy = np.zeros(self.num_groups)
         counts = np.zeros(self.num_groups)
-        gids = self.group_of[self._movable]
+        gids = self._movable_gids
         np.add.at(gx, gids, self.design.x[self._movable])
-        np.add.at(
-            gy, gids, self.design.y[self._movable] - self.offset_y[self._movable]
-        )
+        np.add.at(gy, gids, self.design.y[self._movable] - self._movable_offset_y)
         np.add.at(counts, gids, 1.0)
         counts[counts == 0] = 1.0
         return gx / counts, gy / counts
@@ -89,9 +93,9 @@ class GroupMap:
         y = np.empty(self.design.num_instances)
         x[self._fixed] = self.fixed_x
         y[self._fixed] = self.fixed_y
-        gids = self.group_of[self._movable]
+        gids = self._movable_gids
         x[self._movable] = gx[gids]
-        y[self._movable] = gy[gids] + self.offset_y[self._movable]
+        y[self._movable] = gy[gids] + self._movable_offset_y
         return x, y
 
     def reduce_grad(
@@ -100,20 +104,14 @@ class GroupMap:
         """Accumulate per-instance gradients onto group variables."""
         ggx = np.zeros(self.num_groups)
         ggy = np.zeros(self.num_groups)
-        gids = self.group_of[self._movable]
-        np.add.at(ggx, gids, grad_x[self._movable])
-        np.add.at(ggy, gids, grad_y[self._movable])
+        np.add.at(ggx, self._movable_gids, grad_x[self._movable])
+        np.add.at(ggy, self._movable_gids, grad_y[self._movable])
         return ggx, ggy
 
     def clamp_variables(
         self, gx: np.ndarray, gy: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Keep every member of every group inside the device."""
-        device = self.design.device
-        max_off = np.zeros(self.num_groups)
-        np.maximum.at(
-            max_off, self.group_of[self._movable], self.offset_y[self._movable]
-        )
-        gx = np.clip(gx, 0.0, device.width - 1.0)
-        gy = np.clip(gy, 0.0, device.height - 1.0 - max_off)
+        gx = np.clip(gx, 0.0, self.design.device.width - 1.0)
+        gy = np.clip(gy, 0.0, self._max_gy)
         return gx, gy

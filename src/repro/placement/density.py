@@ -13,6 +13,14 @@ Instances are deposited with bilinear weights over the four bins nearest
 their center, scaled by their (possibly inflated) area, so the
 congestion-driven inflation of Eqs. 11–13 directly raises local density
 and pushes neighbours away.
+
+One batched kernel solves all fields: members are concatenated in field
+order and offset by ``field_id · bins²`` into a stacked ``(F, bins, bins)``
+grid, deposited by one ``np.bincount``, solved by one ``dctn``/``idctn``
+pair (spectral denominator cached at construction) and gathered back per
+axis.  Areas are read afresh on every call, as inflation rewrites them.
+Bins and instances accumulate in a per-field loop's order, so the kernel
+is bitwise equal to the per-field reference in the test suite.
 """
 
 from __future__ import annotations
@@ -100,21 +108,34 @@ class ElectrostaticSystem:
         self.bin_w = self.device.width / bins
         self.bin_h = self.device.height / bins
         self.fields: dict[str, DensityField] = {}
-        for name, resources in FIELD_GROUPS.items():
+        for name in FIELD_GROUPS:
             areas = _site_area(design, name)
             members = np.flatnonzero(areas > 0)
             if members.size == 0:
                 continue
-            capacity = self._site_capacity_map(name)
             self.fields[name] = DensityField(
                 name=name,
                 members=members,
                 # Fancy indexing already yields a fresh private array;
                 # inflation may later mutate it without aliasing `areas`.
                 areas=areas[members],
-                capacity=capacity,
+                capacity=self._site_capacity_map(name),
                 bins=bins,
             )
+
+        # Batched layout: members concatenated in field order, each with
+        # its field id and the flat offset of its field's slab.
+        fields = self.fields.values()
+        sizes = [field.members.size for field in fields]
+        self._members = np.concatenate([field.members for field in fields])
+        self._field_of = np.repeat(np.arange(len(sizes)), sizes)
+        self._offsets = self._field_of * (bins * bins)
+        self._bounds = np.cumsum([0, *sizes])
+        self._capacity = np.stack([field.capacity for field in fields])
+        self._total_capacity = np.array([field.total_capacity for field in fields])
+        wave = 2.0 - 2.0 * np.cos(np.pi * np.arange(bins) / bins)
+        self._denom = wave[:, None] / (self.bin_w**2) + wave[None, :] / (self.bin_h**2)
+        self._denom[0, 0] = 1.0  # zero mode: potential defined up to a constant
 
     def _site_capacity_map(self, field: str) -> np.ndarray:
         """Sites of the field's type per bin (site units, not resources)."""
@@ -133,60 +154,74 @@ class ElectrostaticSystem:
                 cap[b, :] += max(0.0, right - left) * rows_per_bin
         return cap
 
-    # -- deposition --------------------------------------------------------------
+    # -- the batched kernel -----------------------------------------------------------
 
-    def _deposit(
-        self, field: DensityField, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bilinear scatter of member areas into the bin grid.
+    def _scatter(self, x, y, members, offsets, areas, num_fields):
+        """Bilinear scatter into ``(num_fields, bins, bins)``: ``(density, corners, wx, wy)``.
 
-        Returns ``(density, ix, iy, fx, fy)`` where ``ix/iy`` are the
-        lower bin indices and ``fx/fy`` the fractional offsets, reused by
-        the force gather.
+        ``corners`` are each member's four flat bin indices, weighted ``wx * wy``.
         """
-        mx = x[field.members] / self.bin_w - 0.5
-        my = y[field.members] / self.bin_h - 0.5
-        mx = np.clip(mx, 0.0, self.bins - 1.0 - 1e-9)
-        my = np.clip(my, 0.0, self.bins - 1.0 - 1e-9)
+        n = self.bins
+        mx = np.clip(x[members] / self.bin_w - 0.5, 0.0, n - 1.0 - 1e-9)
+        my = np.clip(y[members] / self.bin_h - 0.5, 0.0, n - 1.0 - 1e-9)
         ix = mx.astype(np.int64)
         iy = my.astype(np.int64)
         fx = mx - ix
         fy = my - iy
+        base = offsets + ix * n + iy
+        corners = base + np.array([[0], [n], [1], [n + 1]])
+        wx = np.array([1 - fx, fx, 1 - fx, fx])
+        wy = np.array([1 - fy, 1 - fy, fy, fy])
+        # Corner-major order sums each bin as four sequential per-corner
+        # ``np.add.at`` calls would, and ``a * wx * wy`` keeps the rounding
+        # of ``a * (1 - fx) * (1 - fy)``: GP amplifies last-bit changes.
+        weights = (areas * wx * wy).ravel()
+        density = np.bincount(corners.ravel(), weights, minlength=num_fields * n * n)
+        return density.reshape(num_fields, n, n), corners, wx, wy
 
-        density = np.zeros((self.bins, self.bins))
-        a = field.areas
-        np.add.at(density, (ix, iy), a * (1 - fx) * (1 - fy))
-        np.add.at(density, (ix + 1, iy), a * fx * (1 - fy))
-        np.add.at(density, (ix, iy + 1), a * (1 - fx) * fy)
-        np.add.at(density, (ix + 1, iy + 1), a * fx * fy)
-        return density, ix, iy, fx, fy
-
-    # -- Poisson solve ------------------------------------------------------------
+    def _deposit(
+        self, field: DensityField, x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Deposit one field: ``(density, ix, iy, fx, fy)``, ``ix/iy`` the lower bins."""
+        density, corners, wx, wy = self._scatter(x, y, field.members, 0, field.areas, 1)
+        ix, iy = np.divmod(corners[0], self.bins)
+        return density[0], ix, iy, wx[1], wy[2]
 
     def _solve_poisson(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve ∇²φ = -ρ with Neumann boundaries; return (φ, Ex, Ey)."""
-        n = self.bins
-        rho_hat = sp_fft.dctn(rho, type=2, norm="ortho")
-        kx = np.pi * np.arange(n) / n
-        ky = np.pi * np.arange(n) / n
-        denom = (
-            (2.0 - 2.0 * np.cos(kx))[:, None] / (self.bin_w**2)
-            + (2.0 - 2.0 * np.cos(ky))[None, :] / (self.bin_h**2)
-        )
-        denom[0, 0] = 1.0  # zero mode: potential defined up to a constant
-        phi_hat = rho_hat / denom
-        phi_hat[0, 0] = 0.0
-        phi = sp_fft.idctn(phi_hat, type=2, norm="ortho")
+        """Solve ∇²φ = -ρ (Neumann) over the last two axes; return (φ, Ex, Ey)."""
+        rho_hat = sp_fft.dctn(rho, type=2, norm="ortho", axes=(-2, -1))
+        phi_hat = rho_hat / self._denom
+        phi_hat[..., 0, 0] = 0.0
+        phi = sp_fft.idctn(phi_hat, type=2, norm="ortho", axes=(-2, -1))
         # Electric field E = -∇φ via central differences.
-        ex = np.zeros_like(phi)
-        ey = np.zeros_like(phi)
-        ex[1:-1, :] = (phi[:-2, :] - phi[2:, :]) / (2.0 * self.bin_w)
-        ex[0, :] = (phi[0, :] - phi[1, :]) / self.bin_w
-        ex[-1, :] = (phi[-2, :] - phi[-1, :]) / self.bin_w
-        ey[:, 1:-1] = (phi[:, :-2] - phi[:, 2:]) / (2.0 * self.bin_h)
-        ey[:, 0] = (phi[:, 0] - phi[:, 1]) / self.bin_h
-        ey[:, -1] = (phi[:, -2] - phi[:, -1]) / self.bin_h
+        ex = np.empty_like(phi)
+        ey = np.empty_like(phi)
+        ex[..., 1:-1, :] = (phi[..., :-2, :] - phi[..., 2:, :]) / (2.0 * self.bin_w)
+        ex[..., 0, :] = (phi[..., 0, :] - phi[..., 1, :]) / self.bin_w
+        ex[..., -1, :] = (phi[..., -2, :] - phi[..., -1, :]) / self.bin_w
+        ey[..., 1:-1] = (phi[..., :-2] - phi[..., 2:]) / (2.0 * self.bin_h)
+        ey[..., 0] = (phi[..., 0] - phi[..., 1]) / self.bin_h
+        ey[..., -1] = (phi[..., -2] - phi[..., -1]) / self.bin_h
         return phi, ex, ey
+
+    def _solve_fields(self, x: np.ndarray, y: np.ndarray):
+        """All fields at once: ``(areas, energies, ex_m, ey_m)``, member arrays concatenated."""
+        areas = np.concatenate([field.areas for field in self.fields.values()])
+        density, corners, wx, wy = self._scatter(
+            x, y, self._members, self._offsets, areas, len(self.fields)
+        )
+        # Charge-neutral residual: subtract the scaled capacity so a
+        # perfectly spread placement has zero field.
+        total_area = np.array([field.total_area for field in self.fields.values()])
+        scale = total_area / np.maximum(self._total_capacity, 1e-12)
+        rho = density - self._capacity * scale[:, None, None]
+        phi, ex, ey = self._solve_poisson(rho)
+        energies = 0.5 * (rho * phi).reshape(len(rho), -1).sum(axis=1)
+        em = []
+        for e in (ex, ey):
+            terms = e.reshape(-1)[corners] * wx * wy
+            em.append(terms[0] + terms[1] + terms[2] + terms[3])
+        return areas, energies, *em
 
     # -- public API ---------------------------------------------------------------------
 
@@ -244,59 +279,23 @@ class ElectrostaticSystem:
         per-field multipliers, so sparse fields (URAM) still feel a pull
         comparable to the dense CLB field.
         """
-        energies: dict[str, float] = {}
-        force_x = np.zeros(self.design.num_instances)
-        force_y = np.zeros(self.design.num_instances)
-        for name, field in self.fields.items():
-            weight = 1.0 if field_weights is None else field_weights.get(name, 1.0)
-            density, ix, iy, fx, fy = self._deposit(field, x, y)
-            # Charge-neutral residual: subtract the scaled capacity so a
-            # perfectly spread placement has zero field.
-            scale = field.total_area / max(field.total_capacity, 1e-12)
-            rho = density - field.capacity * scale
-            phi, ex, ey = self._solve_poisson(rho)
-            energies[name] = float(0.5 * (rho * phi).sum())
-            # Gather field at each member (bilinear, matching deposition).
-            exm = (
-                ex[ix, iy] * (1 - fx) * (1 - fy)
-                + ex[ix + 1, iy] * fx * (1 - fy)
-                + ex[ix, iy + 1] * (1 - fx) * fy
-                + ex[ix + 1, iy + 1] * fx * fy
-            )
-            eym = (
-                ey[ix, iy] * (1 - fx) * (1 - fy)
-                + ey[ix + 1, iy] * fx * (1 - fy)
-                + ey[ix, iy + 1] * (1 - fx) * fy
-                + ey[ix + 1, iy + 1] * fx * fy
-            )
-            np.add.at(force_x, field.members, weight * field.areas * exm)
-            np.add.at(force_y, field.members, weight * field.areas * eym)
-        return energies, force_x, force_y
+        areas, energies, exm, eym = self._solve_fields(x, y)
+        weights = field_weights or {}
+        charge = np.array([weights.get(name, 1.0) for name in self.fields])[self._field_of] * areas
+        # Each instance sums its forces in field order, like a per-field loop.
+        n = self.design.num_instances
+        force_x = np.bincount(self._members, charge * exm, minlength=n)
+        force_y = np.bincount(self._members, charge * eym, minlength=n)
+        return dict(zip(self.fields, energies.tolist())), force_x, force_y
 
     def field_force_norms(self, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
         """RMS force per field at the current placement (for λ balancing)."""
-        norms: dict[str, float] = {}
-        for name, field in self.fields.items():
-            density, ix, iy, fx, fy = self._deposit(field, x, y)
-            scale = field.total_area / max(field.total_capacity, 1e-12)
-            rho = density - field.capacity * scale
-            _, ex, ey = self._solve_poisson(rho)
-            exm = (
-                ex[ix, iy] * (1 - fx) * (1 - fy)
-                + ex[ix + 1, iy] * fx * (1 - fy)
-                + ex[ix, iy + 1] * (1 - fx) * fy
-                + ex[ix + 1, iy + 1] * fx * fy
-            )
-            eym = (
-                ey[ix, iy] * (1 - fx) * (1 - fy)
-                + ey[ix + 1, iy] * fx * (1 - fy)
-                + ey[ix, iy + 1] * (1 - fx) * fy
-                + ey[ix + 1, iy + 1] * fx * fy
-            )
-            fx_m = field.areas * exm
-            fy_m = field.areas * eym
-            norms[name] = float(np.sqrt(np.mean(fx_m**2 + fy_m**2)) + 1e-12)
-        return norms
+        areas, _, exm, eym = self._solve_fields(x, y)
+        square = (areas * exm) ** 2 + (areas * eym) ** 2
+        return {
+            name: float(np.sqrt(np.mean(square[lo:hi])) + 1e-12)
+            for name, lo, hi in zip(self.fields, self._bounds[:-1], self._bounds[1:])
+        }
 
     def inflate(self, field_name: str, member_scale: np.ndarray) -> None:
         """Multiply member areas of one field (instance-inflation hook)."""

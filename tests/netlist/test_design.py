@@ -82,6 +82,21 @@ class TestPlacementState:
         with pytest.raises(ValueError, match="shape"):
             manual_design.set_placement(np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_set_placement_rejects_non_finite(self, manual_design, bad):
+        """np.clip passes NaN through, so non-finite input must raise."""
+        n = manual_design.num_instances
+        finite = np.full(n, 3.0)
+        broken = finite.copy()
+        broken[2] = bad
+        before = (manual_design.x.copy(), manual_design.y.copy())
+        with pytest.raises(ValueError, match="finite"):
+            manual_design.set_placement(broken, finite)
+        with pytest.raises(ValueError, match="finite"):
+            manual_design.set_placement(finite, broken)
+        np.testing.assert_array_equal(manual_design.x, before[0])
+        np.testing.assert_array_equal(manual_design.y, before[1])
+
     def test_hpwl_known_value(self, manual_design):
         d = manual_design
         x = np.array([0.0, 2.0, 4.0, 1.0, 3.0, 5.0])

@@ -127,6 +127,19 @@ class TestGroupMap:
         x, y = groups.expand(gx, gy)
         assert y[2] <= tiny_device.height - 1.0  # top of chain inside
 
+    def test_clamp_bounds_are_the_chain_heights(self, tiny_device, rng):
+        """The bounds cached at construction equal the per-call formula."""
+        design = _design_with_cascade(tiny_device)
+        groups = GroupMap(design)
+        max_off = np.zeros(groups.num_groups)
+        movable = groups.group_of >= 0
+        np.maximum.at(max_off, groups.group_of[movable], groups.offset_y[movable])
+        gx = rng.uniform(-5.0, 25.0, groups.num_groups)
+        gy = rng.uniform(-5.0, 25.0, groups.num_groups)
+        cx, cy = groups.clamp_variables(gx, gy)
+        assert np.array_equal(cx, np.clip(gx, 0.0, tiny_device.width - 1.0))
+        assert np.array_equal(cy, np.clip(gy, 0.0, tiny_device.height - 1.0 - max_off))
+
     def test_duplicate_cascade_membership_rejected(self, tiny_device):
         instances = [
             Instance("d0", ResourceType.DSP),
