@@ -200,7 +200,7 @@ def trained_models(profile, dataset):
             load_module(model, ckpt)
             model.eval()
             models[name] = model
-            timings[name] = 0.0
+            timings[name] = None  # loaded, not trained: no time measured
             continue
         trainer = Trainer(
             TrainConfig(

@@ -63,10 +63,11 @@ def _render_table1(table1, trained_models, profile) -> str:
     for name in MODEL_NAMES:
         avg = table1[name]["Average"]
         paper = TABLE1_PAPER_AVERAGE[name]
+        seconds = trained_models["timings"][name]
+        train = "train: cached" if seconds is None else f"train {seconds:.0f}s"
         lines.append(
             f"  {name:<6} {_fmt(avg)}   paper: ACC={paper[0]:.3f} "
-            f"R2={paper[1]:.3f} NRMS={paper[2]:.3f} "
-            f"(train {trained_models['timings'][name]:.0f}s)"
+            f"R2={paper[1]:.3f} NRMS={paper[2]:.3f} ({train})"
         )
     return "\n".join(lines)
 

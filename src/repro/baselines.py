@@ -2,8 +2,8 @@
 
 Every analysis package pins its deterministic output slice to a JSON
 file under ``benchmarks/`` and diffs against it in CI.  Before this
-module, each package (``ir``, ``adjoint``, ``perf``, ``schedule``,
-``concheck``, ``scaling``) carried its own copy of the same three
+module, each package (``ir``, ``adjoint``, ``perf``, ``concheck``,
+``scaling``) carried its own copy of the same three
 moves; they now share one implementation:
 
 * :func:`diff_entries` — keyed-record comparison driven by the

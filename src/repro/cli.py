@@ -18,10 +18,6 @@ Subcommands mirror the library's main workflows:
 * ``perfcheck`` — static performance analysis: dtype-flow / copy-alias /
   fusion passes over the traced graphs plus AST audits of the flow
   code, with measured-vs-predicted validation (see repro.perf).
-* ``plancheck`` — compile each model's traced graph into a verified
-  ``repro.schedule/v1`` execution plan (fusion groups, arena buffer
-  assignment, copy-elision certificates) and re-check it with the
-  independent plan verifier (see repro.schedule).
 * ``concheck`` — static concurrency-safety certification: re-derive the
   worker-reachable call graph from the dotted job references, then run
   effect inference, deep RNG discipline, fork/pickle safety and the
@@ -33,13 +29,13 @@ Subcommands mirror the library's main workflows:
   see repro.scaling).
 * ``numcheck`` — static floating-point error-bound certification:
   first-order rounding-error envelopes over every registry model's
-  forward and adjoint graphs, cancellation/conditioning screens,
-  reassociation + dtype-pin safety certificates for each execution
-  plan, a mixed-precision lint over the flow code, and a float64
+  forward and adjoint graphs, cancellation/conditioning screens, the
+  float32 exp-overflow screen, a mixed-precision lint over the flow
+  code, and a float64
   shadow-execution harness that validates every certified bound by
   measurement (REPRO801-810, see repro.numcheck).
 * ``check``  — the unified gate: lint + analyze + gradcheck + perfcheck
-  + plancheck + concheck + scalecheck + numcheck in one command with
+  + concheck + scalecheck + numcheck in one command with
   one combined JSON report (``repro.check/v1``); ``--update-baselines``
   atomically refreshes every ``benchmarks/*_baseline.json`` instead.
 
@@ -67,7 +63,7 @@ __all__ = [
 ]
 
 # The shared exit-code contract for the analysis commands (analyze,
-# gradcheck, perfcheck, plancheck, check).  argparse owns 2 (usage).
+# gradcheck, perfcheck, concheck, scalecheck, numcheck, check).  argparse owns 2 (usage).
 EXIT_OK = 0
 EXIT_BLOCKING = 1
 EXIT_USAGE = 2
@@ -256,40 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the deterministic slice of this run to a baseline JSON",
     )
 
-    plancheck = sub.add_parser(
-        "plancheck",
-        help="compile + independently verify execution plans "
-        "(see repro.schedule)",
-    )
-    plancheck.add_argument(
-        "model", choices=("unet", "pgnn", "pros2", "ours", "all"),
-        help="registry model to plan, or 'all' for the whole registry",
-    )
-    plancheck.add_argument("--preset", default="fast",
-                          choices=("tiny", "fast", "paper"))
-    plancheck.add_argument(
-        "--grid", dest="grids", type=int, action="append", metavar="N",
-        help="input grid size; repeatable (default: 64)",
-    )
-    plancheck.add_argument(
-        "--backward", action="store_true",
-        help="also compile + verify the training plan over the autograd "
-        "tape (gradient arena slots, tape retention)",
-    )
-    plancheck.add_argument("--json", action="store_true",
-                          help="print the full repro.schedule/v1 bundle "
-                          "(including the sealed plans)")
-    plancheck.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff plan skeletons + fingerprints against a baseline JSON "
-        "and fail on any drift",
-    )
-    plancheck.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the deterministic plan slice of this run to a "
-        "baseline JSON",
-    )
-
     concheck = sub.add_parser(
         "concheck",
         help="static concurrency-safety analysis of the worker-reachable "
@@ -404,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="unified gate: lint + analyze + gradcheck + perfcheck "
-        "+ plancheck + concheck + scalecheck + numcheck",
+        "+ concheck + scalecheck + numcheck",
     )
     check.add_argument("--preset", default="fast",
                        choices=("tiny", "fast", "paper"))
@@ -895,75 +857,6 @@ def _cmd_concheck(args) -> int:
     return status
 
 
-def _print_plan_section(label: str, section: dict) -> None:
-    s = section["summary"]
-    print(f"  {label}: {s['planned_nodes']} nodes planned "
-          f"(dead {s['dead_eliminated']}, cse {s['cse_shared']}), "
-          f"{s['fusion_groups']} fusion groups ({s['fused_nodes']} nodes), "
-          f"{s['copy_elisions']} copies elided")
-    extra = (
-        f", grads {s['grad_slots']} slots, tape {s['tape_entries']}"
-        if s["tape_entries"]
-        else ""
-    )
-    print(f"    arena: {_mb(s['arena_bytes'])} in {s['arena_slots']} slots "
-          f"<= {s['bound_kind']} bound {_mb(s['bound_bytes'])}{extra}")
-    print(f"    plan {s['fingerprint'][:23]}… over graph "
-          f"{s['graph_fingerprint'][:23]}…")
-    for finding in section["findings"]:
-        print(f"    {finding['path']}:{finding['line']}: "
-              f"{finding['code']} {finding['message']}")
-
-
-def _cmd_plancheck(args) -> int:
-    import json
-
-    from .models.registry import MODEL_NAMES
-    from .schedule import (
-        baseline_from_plan_bundle,
-        check_schedule_baseline,
-        plan_registry,
-    )
-
-    models = MODEL_NAMES if args.model == "all" else (args.model,)
-    grids = tuple(args.grids or [64])
-    bundle = plan_registry(
-        models, preset=args.preset, grids=grids, backward=args.backward
-    )
-
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        for report in bundle["reports"]:
-            print(f"{report['model']} (preset={report['preset']}, "
-                  f"grid={report['grid']}, batch={report['batch']})")
-            _print_plan_section("forward", report["forward"])
-            if "training" in report:
-                _print_plan_section("training", report["training"])
-            print()
-
-    status = EXIT_OK
-    if bundle["failures"]:
-        if args.json:
-            for failure in bundle["failures"]:
-                print(f"FAIL: {failure}", file=sys.stderr)
-        print(f"error: {len(bundle['failures'])} blocking finding(s)",
-              file=sys.stderr)
-        status = EXIT_BLOCKING
-    elif not args.json:
-        print("all plans verified (0 REPRO401-408 findings)")
-
-    from .baselines import apply_baseline_flags
-
-    drift = apply_baseline_flags(
-        args, baseline_from_plan_bundle(bundle),
-        lambda doc: check_schedule_baseline(bundle, doc),
-    )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
-
-
 def _print_scaling_model(name: str, report: dict) -> None:
     print(f"{name} (preset={report['preset']}, batch={report['batch']}, "
           f"ladder {report['ladder'][0]}..{report['ladder'][-1]})")
@@ -1063,14 +956,8 @@ def _print_numcheck_model(name: str, report: dict) -> None:
           f"budget={report['budget']:.1e})")
     for grid in sorted(report["grids"], key=int):
         doc = report["grids"][grid]
-        pin = doc["dtype_pin"]
         print(f"  grid {grid}: forward rel <= {doc['forward_rel']:.3e}, "
               f"backward rel <= {doc['backward_rel']:.3e}")
-        print(f"    fusion: {doc['fusion_certified']}/"
-              f"{doc['fusion_groups']} groups error-neutral; "
-              f"pin {pin['dtype']} worst node contributes "
-              f"{pin['worst_contribution_rel']} "
-              f"({'within' if pin['within_budget'] else 'OVER'} budget)")
         if doc["unsupported"]:
             print(f"    unsupported ops: {', '.join(doc['unsupported'])}")
         measured = doc.get("measured")
@@ -1131,7 +1018,7 @@ def _cmd_numcheck(args) -> int:
               file=sys.stderr)
         status = EXIT_BLOCKING
     elif not args.json:
-        print("rounding certified (0 blocking REPRO8xx findings)")
+        print("rounding certified (0 blocking findings)")
 
     drift = apply_baseline_flags(
         args, baseline_from_numcheck(bundle),
@@ -1147,7 +1034,7 @@ def _update_all_baselines(args) -> int:
 
     Each analysis runs in its CI-pinned configuration (the grids and
     flags the workflow jobs use), every document is serialized first,
-    and only then do all seven rename into place — a failure anywhere
+    and only then do all six rename into place — a failure anywhere
     leaves the benchmarks directory untouched.
     """
     from pathlib import Path
@@ -1158,7 +1045,6 @@ def _update_all_baselines(args) -> int:
     from .numcheck import baseline_from_numcheck, numcheck
     from .perf import baseline_from_bundle, perfcheck_all
     from .scaling import baseline_from_scaling, scalecheck
-    from .schedule import baseline_from_plan_bundle, plan_registry
 
     bench = Path(__file__).resolve().parents[2] / "benchmarks"
     validate = not args.no_validate
@@ -1175,10 +1061,6 @@ def _update_all_baselines(args) -> int:
     docs[perf_path] = carry_sections(
         perf_path, baseline_from_bundle(perf), ("fixes",)
     )
-    plans = plan_registry(
-        preset="fast", grids=(64, 128, 256, 512), backward=True
-    )
-    docs[str(bench / "schedule_baseline.json")] = baseline_from_plan_bundle(plans)
     docs[str(bench / "concheck_baseline.json")] = baseline_from_concheck(concheck())
     scaling = scalecheck("all", measure=validate)
     docs[str(bench / "scaling_baseline.json")] = baseline_from_scaling(scaling)
@@ -1205,7 +1087,7 @@ def _iter_finding_codes(obj):
 
 def _cmd_check(args) -> int:
     """The unified gate: lint + analyze + gradcheck + perfcheck +
-    plancheck + concheck + scalecheck + numcheck."""
+    concheck + scalecheck + numcheck."""
     import json
     from pathlib import Path
 
@@ -1218,7 +1100,6 @@ def _cmd_check(args) -> int:
     from .numcheck import numcheck
     from .perf import perfcheck_all
     from .scaling import scalecheck
-    from .schedule import plan_registry
 
     if args.update_baselines:
         return _update_all_baselines(args)
@@ -1249,22 +1130,16 @@ def _cmd_check(args) -> int:
     )
     failures.extend(perf_bundle["failures"])
 
-    # 5. Execution-plan compilation + independent verification.
-    plan_bundle = plan_registry(
-        preset=args.preset, grids=(args.grid,), backward=True
-    )
-    failures.extend(plan_bundle["failures"])
-
-    # 6. Concurrency-safety certification of the worker-reachable graph.
+    # 5. Concurrency-safety certification of the worker-reachable graph.
     concheck_bundle = concheck()
     failures.extend(concheck_bundle["failures"])
 
-    # 7. Certified scaling laws + flow-code complexity lint.
+    # 6. Certified scaling laws + flow-code complexity lint.
     scaling_bundle = scalecheck("all", preset=args.preset,
                                 measure=not args.no_validate)
     failures.extend(scaling_bundle["failures"])
 
-    # 8. Rounding-error certification + float64 shadow validation.
+    # 7. Rounding-error certification + float64 shadow validation.
     numcheck_bundle = numcheck("all", preset=args.preset,
                                measure=not args.no_validate)
     failures.extend(numcheck_bundle["failures"])
@@ -1280,7 +1155,6 @@ def _cmd_check(args) -> int:
         "analyze": analyze_bundle,
         "gradcheck": gradcheck_bundle,
         "perfcheck": perf_bundle,
-        "plancheck": plan_bundle,
         "concheck": concheck_bundle,
         "scalecheck": scaling_bundle,
         "numcheck": numcheck_bundle,
@@ -1306,7 +1180,6 @@ def _cmd_check(args) -> int:
             ("gradcheck", sum(len(r["failures"])
                               for r in gradcheck_bundle["reports"])),
             ("perfcheck", len(perf_bundle["failures"])),
-            ("plancheck", len(plan_bundle["failures"])),
             ("concheck", len(concheck_bundle["failures"])),
             ("scalecheck", len(scaling_bundle["failures"])),
             ("numcheck", len(numcheck_bundle["failures"])),
@@ -1342,7 +1215,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "gradcheck": _cmd_gradcheck,
     "perfcheck": _cmd_perfcheck,
-    "plancheck": _cmd_plancheck,
     "concheck": _cmd_concheck,
     "scalecheck": _cmd_scalecheck,
     "numcheck": _cmd_numcheck,

@@ -1,17 +1,18 @@
 """Single allocation point for every ``REPROxxx`` diagnostic code.
 
-Five analysis components share one code namespace — the AST lint rules
+The analysis components share one code namespace — the AST lint rules
 (:mod:`repro.lint`, ``REPRO0xx``), the forward-IR passes
 (:mod:`repro.ir`, ``REPRO1xx``), the adjoint/backward passes
 (:mod:`repro.adjoint`, ``REPRO2xx``), the static performance
-analyzer (:mod:`repro.perf`, ``REPRO3xx``) and the execution-plan
-verifier (:mod:`repro.schedule`, ``REPRO4xx``).  Before this registry each
-component kept its own table, which is exactly how two PRs end up
-assigning the same code to different rules.  Now every code is declared
-here, :func:`register_code` raises on a duplicate assignment, and the
-component tables (``repro.lint.rules.RULES``,
-``repro.ir.passes.IR_RULES``, ``repro.adjoint.ADJOINT_RULES``,
-``repro.perf.PERF_RULES``) are views produced by :func:`codes_for`.
+analyzer (:mod:`repro.perf`, ``REPRO3xx``) and the concurrency,
+scaling and rounding-error certifiers (``REPRO6xx``–``REPRO8xx``).
+Before this registry each component kept its own table, which is
+exactly how two changes end up assigning the same code to different
+rules.  Now every code is declared here, :func:`register_code` raises
+on a duplicate assignment, and the component tables
+(``repro.lint.rules.RULES``, ``repro.ir.passes.IR_RULES``,
+``repro.adjoint.ADJOINT_RULES``, ``repro.perf.PERF_RULES``) are views
+produced by :func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
 ``repro analyze`` / ``repro gradcheck`` exit non-zero,
@@ -24,6 +25,10 @@ the one component whose codes label *runtime incidents* rather than
 static findings: a blocking 5xx code means the parallel run could not
 deliver a complete result (a job was quarantined), a non-blocking one
 records a fault the supervisor recovered from.
+
+Retired codes (:data:`RETIRED_CODES`) belonged to removed analyzers;
+they stay unassigned so an old report or ``noqa`` comment can never be
+read as a different rule.
 """
 
 from __future__ import annotations
@@ -37,7 +42,14 @@ __all__ = [
     "all_codes",
     "spec_of",
     "is_blocking",
+    "RETIRED_CODES",
 ]
+
+#: Codes of the removed execution-plan verifier (the whole 4xx block)
+#: and of numcheck's plan certificates (804, 805).  Never reassigned.
+RETIRED_CODES = frozenset(
+    f"REPRO{n}" for n in (*range(401, 409), 804, 805)
+)
 
 
 @dataclass(frozen=True)
@@ -46,7 +58,7 @@ class DiagnosticSpec:
 
     code: str
     message: str
-    component: str  # "lint" | "ir" | "adjoint" | "perf" | "schedule"
+    component: str  # "lint" | "ir" | "adjoint" | "perf" | "numcheck" | ...
     blocking: bool = True
 
 
@@ -57,6 +69,8 @@ def register_code(
     code: str, message: str, *, component: str, blocking: bool = True
 ) -> DiagnosticSpec:
     """Claim ``code`` for ``component``; a second claim is an error."""
+    if code in RETIRED_CODES:
+        raise ValueError(f"diagnostic code {code} is retired")
     if code in _REGISTRY:
         existing = _REGISTRY[code]
         raise ValueError(
@@ -272,53 +286,6 @@ register_code(
     blocking=False,
 )
 
-# Execution-plan verifier (repro.schedule.verify) — 4xx.  Every code is
-# blocking: a plan that trips any of these is unsafe to replay and the
-# executor must fall back to eager evaluation.  The verifier re-derives
-# each property from the traced graph alone — it shares no legality
-# reasoning with the compiler, so a compiler bug cannot also blind the
-# check that would have caught it.
-register_code(
-    "REPRO401",
-    "overlapping live ranges assigned overlapping arena addresses",
-    component="schedule",
-)
-register_code(
-    "REPRO402",
-    "fusion group crosses an aliasing or multi-consumer edge",
-    component="schedule",
-)
-register_code(
-    "REPRO403",
-    "elided copy whose source is read or retained after the copy",
-    component="schedule",
-)
-register_code(
-    "REPRO404",
-    "plan/graph topology mismatch (missing, dead, unknown or misclaimed node)",
-    component="schedule",
-)
-register_code(
-    "REPRO405",
-    "plan ordering is not the canonical deterministic schedule",
-    component="schedule",
-)
-register_code(
-    "REPRO406",
-    "arena size exceeds the memory planner's peak bound",
-    component="schedule",
-)
-register_code(
-    "REPRO407",
-    "dtype pin contradicts the traced dtype lattice",
-    component="schedule",
-)
-register_code(
-    "REPRO408",
-    "stale plan: fingerprint does not match the graph or plan content",
-    component="schedule",
-)
-
 # Fault-tolerant orchestration runtime (repro.orchestrate) — 5xx.
 # These are *runtime incidents*, not static findings: non-blocking codes
 # record faults the supervisor recovered from (the run still produced a
@@ -509,16 +476,6 @@ register_code(
     "cancel to zero",
     component="numcheck",
     blocking=False,
-)
-register_code(
-    "REPRO804",
-    "planned fusion group or summation-order change is not error-neutral",
-    component="numcheck",
-)
-register_code(
-    "REPRO805",
-    "float32 dtype pin breaks the certified error budget",
-    component="numcheck",
 )
 register_code(
     "REPRO806",

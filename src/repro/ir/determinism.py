@@ -35,7 +35,7 @@ __all__ = ["audit_determinism", "audit_file", "DEFAULT_AUDIT_PACKAGES"]
 # worker-reachable closure additionally gets the call-graph-deep
 # REPRO604-606 variants from repro.concheck.
 DEFAULT_AUDIT_PACKAGES = (
-    "placement", "train", "data", "models", "nn", "eval",
+    "placement", "train", "models", "nn",
     "netlist", "routing", "contest", "features", "arch", "orchestrate",
     "resilience",
 )
@@ -184,11 +184,7 @@ def audit_determinism(paths: list[str | Path] | None = None) -> dict:
     """Audit python files (default: the training/placement packages)."""
     if paths is None:
         package_root = Path(__file__).resolve().parents[1]
-        paths = [
-            package_root / sub
-            for sub in DEFAULT_AUDIT_PACKAGES
-            if (package_root / sub).is_dir()
-        ]
+        paths = [package_root / sub for sub in DEFAULT_AUDIT_PACKAGES]
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)

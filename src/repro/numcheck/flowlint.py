@@ -177,8 +177,6 @@ def lint_flow(root: str | None = None) -> dict:
     audited: list[str] = []
     for package in FLOW_PACKAGES:
         pkg_dir = os.path.join(root, "repro", package)
-        if not os.path.isdir(pkg_dir):
-            continue
         for fname in sorted(os.listdir(pkg_dir)):
             if not fname.endswith(".py"):
                 continue

@@ -318,11 +318,7 @@ def audit_copies(paths: list[str | Path] | None = None) -> dict:
     """AST defensive-copy audit of the flow packages."""
     if paths is None:
         package_root = Path(__file__).resolve().parents[1]
-        paths = [
-            package_root / sub
-            for sub in COPY_AUDIT_PACKAGES
-            if (package_root / sub).is_dir()
-        ]
+        paths = [package_root / sub for sub in COPY_AUDIT_PACKAGES]
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)

@@ -299,11 +299,7 @@ def audit_dtypes(paths: list[str | Path] | None = None) -> dict:
     """AST dtype audit of the float32 pipeline (features + train)."""
     if paths is None:
         package_root = Path(__file__).resolve().parents[1]
-        paths = [
-            package_root / sub
-            for sub in DTYPE_AUDIT_PACKAGES
-            if (package_root / sub).is_dir()
-        ]
+        paths = [package_root / sub for sub in DTYPE_AUDIT_PACKAGES]
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)

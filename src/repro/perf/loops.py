@@ -32,7 +32,7 @@ from repro.lint.rules import LintDiagnostic, _noqa_lines
 
 __all__ = ["audit_loops", "LOOP_AUDIT_PACKAGES"]
 
-LOOP_AUDIT_PACKAGES = ("features", "train", "placement", "routing", "eval")
+LOOP_AUDIT_PACKAGES = ("features", "train", "placement", "routing")
 
 # Allocator calls that create a fresh ndarray each invocation.
 _ALLOCATORS = {
@@ -164,11 +164,7 @@ def audit_loops(paths: list[str | Path] | None = None) -> dict:
     """AST loop/allocation audit of the flow packages."""
     if paths is None:
         package_root = Path(__file__).resolve().parents[1]
-        paths = [
-            package_root / sub
-            for sub in LOOP_AUDIT_PACKAGES
-            if (package_root / sub).is_dir()
-        ]
+        paths = [package_root / sub for sub in LOOP_AUDIT_PACKAGES]
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)

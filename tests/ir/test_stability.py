@@ -12,6 +12,7 @@ import pytest
 from repro.ir import check_stability, trace, trace_model
 from repro.models.registry import MODEL_NAMES
 from repro.nn import Module
+from repro.perf.report import default_dtype
 
 
 def _codes(module, *shapes, input_vrange=(-np.inf, np.inf)):
@@ -120,20 +121,17 @@ class TestPromotion:
 
 
 class TestPinnedDtypeThresholds:
-    """Overflow limits follow the *pinned* execution dtype, not the
-    traced one — a graph scheduled to run at float32 must be screened
-    against exp's ~88.7 bound, not float64's ~709.8 (REPRO805's
-    stability half)."""
+    """Overflow limits follow the traced dtype: a graph traced at
+    float32 (the deployment dtype) is screened against exp's ~88.7
+    bound, not float64's ~709.8."""
 
     class Exp(Module):
         def forward(self, x):
             return x.exp()
 
-    def _exp_graph(self, hi):
-        return trace(self.Exp(), (2, 8), input_vrange=(0.0, hi))
-
-    def _exp_node(self, graph):
-        return next(n for n in graph if n.kind == "op" and n.op == "exp")
+    def _exp_graph(self, hi, dtype=np.float64):
+        with default_dtype(dtype):
+            return trace(self.Exp(), (2, 8), input_vrange=(0.0, hi))
 
     def test_float64_trace_clean_between_thresholds(self):
         # 100 < log(float64 max) ~ 709.8: safe as traced.
@@ -141,18 +139,14 @@ class TestPinnedDtypeThresholds:
         assert check_stability(graph)["findings"] == []
 
     def test_float32_pin_lowers_the_limit(self):
-        # The same graph pinned to float32 overflows past ~88.7.
-        graph = self._exp_graph(100.0)
-        pins = {self._exp_node(graph).id: "float32"}
-        codes = [
-            f.code for f in check_stability(graph, pins=pins)["findings"]
-        ]
+        # The same module traced at float32 overflows past ~88.7.
+        graph = self._exp_graph(100.0, np.float32)
+        codes = [f.code for f in check_stability(graph)["findings"]]
         assert codes == ["REPRO101"]
 
     def test_float32_pin_safe_below_its_limit(self):
-        graph = self._exp_graph(80.0)
-        pins = {self._exp_node(graph).id: "float32"}
-        assert check_stability(graph, pins=pins)["findings"] == []
+        graph = self._exp_graph(80.0, np.float32)
+        assert check_stability(graph)["findings"] == []
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -1,5 +1,7 @@
 """CLI: parser structure and command execution at tiny scale."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +17,25 @@ class TestParser:
         for command in ("stats", "place", "route", "score", "train", "table2"):
             args = parser.parse_args([command])
             assert args.command == command
+
+    def test_subcommand_set_is_exact(self, capsys):
+        # Exactly these subcommands exist; any other name, including a
+        # removed analyzer's, is an argparse usage error (exit 2).
+        from repro.cli import _COMMANDS
+
+        assert set(_COMMANDS) == {
+            "stats", "place", "route", "score", "train", "table2", "lint",
+            "analyze", "gradcheck", "perfcheck", "concheck", "scalecheck",
+            "numcheck", "check",
+        }
+        (sub,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(_COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "all"])
+        assert exc.value.code == 2
 
     def test_design_choices_enforced(self):
         with pytest.raises(SystemExit):
@@ -152,38 +173,6 @@ class TestAnalysisJSONSchemas:
         assert bundle["reports"] == []
         assert bundle["flow"]["target"] == "flow"
         assert bundle["flow"]["audited_files"] > 0
-
-    def test_plancheck_json_schema(self, capsys):
-        bundle = self._json(
-            capsys,
-            ["plancheck", "unet", "--preset", "tiny", "--grid", "32",
-             "--backward", "--json"],
-        )
-        assert bundle["schema"] == "repro.schedule/v1"
-        assert set(bundle) >= {
-            "schema", "reports", "distinct_codes", "failures",
-        }
-        (report,) = bundle["reports"]
-        assert set(report) >= {
-            "schema", "model", "preset", "grid", "batch", "forward",
-            "training", "failures",
-        }
-        for section in ("forward", "training"):
-            assert report[section]["plan"]["schema"] == "repro.schedule/v1"
-            summary = report[section]["summary"]
-            assert summary["planned_nodes"] > 0
-            assert summary["arena_bytes"] <= summary["bound_bytes"]
-            assert report[section]["findings"] == []
-        assert bundle["failures"] == []
-
-    def test_plancheck_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "schedule_baseline.json"
-        argv = ["plancheck", "unet", "--preset", "tiny", "--grid", "32"]
-        assert main(argv + ["--update-baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(argv + ["--check-baseline", str(baseline)]) == 0
-        assert "baseline OK" in capsys.readouterr().out
 
     def test_perfcheck_baseline_round_trip(self, tmp_path, capsys):
         baseline = tmp_path / "perf_baseline.json"
@@ -328,15 +317,14 @@ class TestAnalysisJSONSchemas:
              "--no-validate"],
         )
         assert combined["schema"] == "repro.check/v1"
-        assert set(combined) >= {
+        assert set(combined) == {
             "schema", "preset", "grid", "lint", "analyze", "gradcheck",
-            "perfcheck", "plancheck", "concheck", "scalecheck", "failures",
+            "perfcheck", "concheck", "scalecheck", "numcheck", "failures",
         }
         # Each section carries its own full bundle under its own schema.
         assert combined["analyze"]["schema"] == "repro.ir/v1"
         assert combined["gradcheck"]["schema"] == "repro.adjoint/v1"
         assert combined["perfcheck"]["schema"] == "repro.perf/v1"
-        assert combined["plancheck"]["schema"] == "repro.schedule/v1"
         assert combined["concheck"]["schema"] == "repro.concheck/v1"
         assert combined["concheck"]["failures"] == []
         assert combined["scalecheck"]["schema"] == "repro.scaling/v1"
@@ -388,12 +376,6 @@ class TestExitCodeContract:
             "baseline": "perf.json",
             "drift": lambda doc: doc["entries"][0].update(
                 graph_nodes=doc["entries"][0]["graph_nodes"] + 1),
-        },
-        "plancheck": {
-            "argv": ["plancheck", "unet", "--preset", "tiny", "--grid", "32"],
-            "baseline": "schedule.json",
-            "drift": lambda doc: doc["entries"][0].update(
-                arena_bytes=doc["entries"][0]["arena_bytes"] + 1),
         },
         "concheck": {
             "argv": ["concheck"],

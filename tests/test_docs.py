@@ -105,36 +105,6 @@ class TestDiagnosticsDoc:
         assert (_ROOT / "docs" / "DIAGNOSTICS.md").exists()
 
 
-class TestScheduleDoc:
-    def test_exists_and_pins_schema(self):
-        text = _read("docs/SCHEDULE.md")
-        assert "repro.schedule/v1" in text
-        assert "benchmarks/schedule_baseline.json" in text
-
-    def test_documents_every_schedule_code(self):
-        from repro.diagnostics import codes_for
-
-        text = _read("docs/SCHEDULE.md")
-        for code in codes_for("schedule"):
-            assert code in text, f"SCHEDULE.md does not mention {code}"
-
-    def test_linked_from_readme_and_api(self):
-        assert "docs/SCHEDULE.md" in _read("README.md")
-        assert "SCHEDULE.md" in _read("docs/API.md")
-
-    def test_exit_code_table_matches_cli_constants(self):
-        """API.md's exit-code table and the CLI constants must agree."""
-        from repro import cli
-
-        text = _read("docs/API.md")
-        rows = dict(
-            re.findall(r"^\| (\d) \| `(EXIT_\w+)` \|", text, re.MULTILINE)
-        )
-        assert len(rows) == 5
-        for value, name in rows.items():
-            assert getattr(cli, name) == int(value)
-
-
 class TestOrchestrationDoc:
     def test_exists_and_covers_the_runtime(self):
         text = _read("docs/ORCHESTRATION.md")
@@ -245,3 +215,15 @@ class TestApiDoc:
                 )
                 checked += 1
         assert checked > 50  # the doc really was scanned
+
+    def test_exit_code_table_matches_cli_constants(self):
+        """API.md's exit-code table and the CLI constants must agree."""
+        from repro import cli
+
+        text = _read("docs/API.md")
+        rows = dict(
+            re.findall(r"^\| (\d) \| `(EXIT_\w+)` \|", text, re.MULTILINE)
+        )
+        assert len(rows) == 5
+        for value, name in rows.items():
+            assert getattr(cli, name) == int(value)
